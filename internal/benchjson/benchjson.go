@@ -7,7 +7,7 @@
 // to absorb intentional modelling changes. Real-UDP scenarios measure
 // wall-clock throughput and vary with the machine; they carry a
 // per-scenario tolerance (Result.Tol) wide enough that only a collapse —
-// a lock back on the read path, a wedged worker pool — trips the gate,
+// a lock back on the read path, a wedged ingest loop — trips the gate,
 // not CI runner jitter.
 package benchjson
 

@@ -143,9 +143,9 @@ type counters struct {
 	stripes [counterStripes]counterStripe
 }
 
-// at picks the stripe for a frame. The pooled frame's address is stable
-// while a worker owns it, so each ingest worker effectively gets its own
-// counter line; single-goroutine callers always hit the same stripe.
+// at picks the stripe for a frame. Each transport ingest goroutine decodes
+// into its own long-lived frame, so each effectively gets its own counter
+// line; single-goroutine callers always hit the same stripe.
 func (c *counters) at(f *packet.Frame) *counterStripe {
 	return &c.stripes[(uintptr(unsafe.Pointer(f))>>7)%counterStripes]
 }

@@ -37,7 +37,7 @@ import (
 //
 // What the sim run cannot give us — and this one does — is evidence that
 // the protocol's invariants survive the parts the simulator idealizes:
-// kernel buffering, OS timer slop, racing ingest workers, TCP'd control
+// kernel buffering, OS timer slop, racing ingest goroutines, TCP'd control
 // RPC, and a relay whose lease state lives behind a real port.
 
 // RealChaosOpts parameterizes a wire chaos run.

@@ -61,7 +61,6 @@ type UDPBenchOpts struct {
 	Window    int           // per-client in-flight queries, default 64
 	Procs     []int         // read-scaling GOMAXPROCS points, default 1,2,4,8
 	ValueSize int           // value bytes for read-scaling and hot-key, default 64
-	Workers   int           // switch ingest workers, 0 = auto (per core)
 	Sockets   int           // SO_REUSEPORT ingest sockets, 0 = auto (per core, Linux)
 	Batch     int           // datagrams per ingest syscall, 0 = 32
 
@@ -132,7 +131,6 @@ func newUDPCluster(o UDPBenchOpts) (*udpCluster, error) {
 	}
 	c := &udpCluster{book: transport.NewAddressBook()}
 	c.node, err = transport.NewSwitchNode(sw, c.book, "127.0.0.1:0",
-		transport.WithIngestWorkers(o.Workers),
 		transport.WithIngestSockets(o.Sockets),
 		transport.WithRecvBatch(o.Batch))
 	if err != nil {
@@ -317,7 +315,7 @@ func udpResult(scenario string, qps float64, lat *stats.Histogram) benchjson.Res
 }
 
 // ReadScaling measures pure-read ops/sec against one switch node at each
-// GOMAXPROCS point, booting a fresh cluster per point so worker pools and
+// GOMAXPROCS point, booting a fresh cluster per point so ingest sockets and
 // client goroutines size themselves to the restricted scheduler.
 func ReadScaling(o UDPBenchOpts) ([]benchjson.Result, error) {
 	o.defaults()

@@ -41,7 +41,7 @@ func KeyFromUint64(v uint64) Key {
 func (k Key) Uint64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
 
 // HashBytes is FNV-1a over b — the dataplane's shared cheap hash
-// (duplicate-detection value fingerprints, ingest worker sharding).
+// (duplicate-detection value fingerprints, head stamp stripes).
 func HashBytes(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {

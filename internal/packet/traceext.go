@@ -44,8 +44,8 @@ const (
 	StageTail
 	// StageRead: the tail served a read from its register file.
 	StageRead
-	// StageIngest: a transport node's socket/dispatch layer handled the
-	// frame (queueing between ingress and the worker shard).
+	// StageIngest: a transport node's socket layer handled the frame
+	// (the wait between ingress and processing within its batch).
 	StageIngest
 	// StageRelay: the relay tier fanned the committed event out.
 	StageRelay
@@ -78,8 +78,8 @@ type TraceHop struct {
 	Stage     TraceStage
 	IngressNs int64
 	EgressNs  int64
-	Queue     uint16 // pending frames at the hop when this frame arrived
-	Shard     uint8  // worker shard that processed the frame
+	Queue     uint16 // datagrams behind this one in its receive batch
+	Shard     uint8  // ingest socket that processed the frame
 }
 
 func putTraceHop(b []byte, h *TraceHop) {

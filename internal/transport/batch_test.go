@@ -94,7 +94,7 @@ func TestSwitchSurvivesTransientReadErrors(t *testing.T) {
 // every in-flight and future query until its retry timer drained.
 func TestClientSurvivesTransientReadErrors(t *testing.T) {
 	const transientErrs = 3
-	node, _ := singleNode(t, 2, 8)
+	node, _ := singleNode(t, 8)
 	cl, err := NewClient(node.book, ClientConfig{
 		Addr:    packet.AddrFrom4(10, 1, 0, 9),
 		Gateway: node.sw.Addr(),
@@ -131,7 +131,7 @@ func TestClientSurvivesTransientReadErrors(t *testing.T) {
 // front of garbage bytes; both must apply, and the node must report one
 // decode error on one truncated batch.
 func TestCorruptFrameMidBatchKeepsGoodFrames(t *testing.T) {
-	node, ops := singleNode(t, 2, 8)
+	node, ops := singleNode(t, 8)
 	k1 := kv.KeyFromString("good-frame-1")
 	k2 := kv.KeyFromString("good-frame-2")
 	for _, k := range []kv.Key{k1, k2} {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/bits"
 	"math/rand"
 	"net"
 	"runtime"
@@ -63,13 +64,13 @@ func (b *AddressBook) Get(a packet.Addr) (*net.UDPAddr, bool) {
 	return ep, ok
 }
 
-// switchQueueDepth sizes the inter-stage queues of a switch node: deep
-// enough to absorb pipelined client windows, shallow enough that a stalled
-// stage backpressures into the UDP socket buffer like a real switch queue.
-const switchQueueDepth = 512
+// clientSendQueueDepth sizes a client's outbound queue: deep enough to
+// absorb a pipelined window, shallow enough that a stalled send stage
+// backpressures into Submit.
+const clientSendQueueDepth = 512
 
 // maxBatchBytes caps how many back-to-back frames one datagram may carry
-// when a send stage coalesces its queue (burst batching, like the paper's
+// when an egress batch coalesces its queue (burst batching, like the paper's
 // DPDK clients). Latency is unaffected: batches only form when frames are
 // already waiting behind one syscall.
 const maxBatchBytes = 4096
@@ -84,18 +85,11 @@ type outFrame struct {
 type NodeOption func(*nodeConfig)
 
 type nodeConfig struct {
-	workers   int
 	sockets   int
 	batch     int
 	portable  bool                                      // force the pre-batching reference path
 	newReader func(*net.UDPConn, *recvRing) batchReader // test seam: inject read errors
 	fault     FaultPipe                                 // wire nemesis hook (nil = healthy)
-}
-
-// WithIngestWorkers sets the size of the node's dataplane worker pool.
-// n < 1 selects the default (GOMAXPROCS, capped at 8).
-func WithIngestWorkers(n int) NodeOption {
-	return func(c *nodeConfig) { c.workers = n }
 }
 
 // WithIngestSockets sets how many SO_REUSEPORT sockets share the node's
@@ -127,23 +121,9 @@ func withReader(fn func(*net.UDPConn, *recvRing) batchReader) NodeOption {
 	return func(c *nodeConfig) { c.newReader = fn }
 }
 
-// defaultIngestWorkers sizes the pool for the machine: one worker per
-// schedulable core, capped — beyond a handful of workers the UDP socket
-// itself is the bottleneck.
-func defaultIngestWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// defaultIngestSockets sizes the ingest-socket shard count: ingest
-// goroutines also serve reads inline, so more sockets than cores just
-// adds scheduler churn.
+// defaultIngestSockets sizes the ingest-socket shard count: each ingest
+// goroutine runs the whole dataplane for its frames, so more sockets than
+// cores just adds scheduler churn.
 func defaultIngestSockets() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 4 {
@@ -156,7 +136,8 @@ func defaultIngestSockets() int {
 }
 
 // socketBufBytes is requested for the node's UDP socket in both
-// directions, absorbing multi-client bursts while the worker pool drains.
+// directions, absorbing multi-client bursts while the ingest goroutines
+// drain.
 const socketBufBytes = 4 << 20
 
 // warnRcvBufOnce rate-limits the clamped-receive-buffer warning: every
@@ -206,27 +187,36 @@ type NodeStats struct {
 	RcvBufBytes      int    // effective kernel SO_RCVBUF (0 = unknown); below 4 MB means clamped
 }
 
-// SwitchNode runs one NetChain switch dataplane behind real UDP sockets.
-// Ingest is sharded and batched: up to S SO_REUSEPORT sockets share the
-// node's port, each owned by a goroutine that drains whole datagram
-// batches per syscall (recvmmsg on Linux) into its own receive ring.
-// Reads, replies and transit frames are processed inline on the ingest
-// goroutine, zero-copy off the ring — the seqlock snapshot linearizes
-// reads regardless of arrival order — and their output leaves in one
-// batched send syscall per ingest wakeup. Mutating ops (write/delete/
-// CAS/sync) detach into pooled frames and shard onto W workers by key
-// hash: all writes for one key serialize through one worker, and because
-// the kernel pins each client flow to one ingest socket, per-client
-// per-key FIFO order is preserved exactly as the single-socket node
-// preserved it.
+// SwitchNode runs one NetChain switch dataplane behind real UDP sockets,
+// run to completion like a switch pipeline: up to S SO_REUSEPORT sockets
+// share the node's port, each owned by one goroutine that drains whole
+// datagram batches per syscall (recvmmsg on Linux) into its own receive
+// ring, runs every frame through the dataplane zero-copy off the ring,
+// and sends the output in one batched syscall per wakeup. No frame
+// crosses a goroutine between its receive and its send.
+//
+// Ordering needs no queue either. The kernel pins each flow (one client,
+// or one upstream switch — whose sockets all share one port) to one
+// ingest socket, read in arrival order by one goroutine, so per-flow
+// per-key FIFO order holds hop by hop down the chain. The one place two
+// goroutines can race on a key is the head, where several client flows
+// write it: core.Switch stamps their versions in order under its group
+// locks, and the node's stamp stripes keep the wire in that order too
+// (see holdStamp).
 type SwitchNode struct {
 	sw    *core.Switch
 	book  *AddressBook
-	conn  *net.UDPConn   // primary socket (worker egress, heartbeats)
+	conn  *net.UDPConn   // primary socket (heartbeats, delayed fault re-injection)
 	conns []*net.UDPConn // every ingest socket, conns[0] == conn
 
-	in  []chan *packet.Frame // per-worker queues, sharded by key hash
-	out chan outFrame        // worker-serialized datagrams awaiting the wire
+	// drained holds, per ingest socket, how many datagrams its last
+	// receive syscall returned: the node's backlog signal (QueueDepth).
+	drained []atomic.Int32
+
+	// stamps are the head's key stripes: an ingest goroutine that stamps
+	// a fresh mutation holds the key's stripe until its batch is on the
+	// wire (multi-socket nodes only; one socket is one goroutine).
+	stamps [stampStripes]sync.Mutex
 
 	readErrs     atomic.Uint64
 	decodeErrs   atomic.Uint64
@@ -237,22 +227,20 @@ type SwitchNode struct {
 	evtPublished atomic.Uint64
 	rcvBuf       int
 
-	// procHist samples handle() wall time (roughly 1/1024 inline frames,
-	// 1/256 worker mutations — each loop keeps its own non-atomic tick so
-	// the fast path pays nothing). Exported via the metrics registry as
-	// the node's per-hop processing percentiles.
+	// procHist samples handle() wall time (roughly 1/256 frames — each
+	// ingest loop keeps its own non-atomic tick so the fast path pays
+	// nothing). Exported via the metrics registry as the node's per-hop
+	// processing percentiles.
 	procHist *stats.Histogram
 
 	evtSink atomic.Pointer[eventSink] // push-watch egress target (nil = off)
 	fault   FaultPipe                 // wire nemesis hook (nil = healthy)
 
-	mu       sync.Mutex
-	closed   bool
-	recvWG   sync.WaitGroup
-	workerWG sync.WaitGroup
-	sendDone chan struct{}
-	hbStop   chan struct{}
-	hbDone   chan struct{}
+	mu     sync.Mutex
+	closed bool
+	recvWG sync.WaitGroup
+	hbStop chan struct{}
+	hbDone chan struct{}
 }
 
 // NewSwitchNode binds the node's UDP socket(s) (pass "127.0.0.1:0" for
@@ -261,9 +249,6 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 	cfg := nodeConfig{}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = defaultIngestWorkers()
 	}
 	if cfg.sockets < 1 {
 		cfg.sockets = defaultIngestSockets()
@@ -318,29 +303,16 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 
 	n := &SwitchNode{
 		sw: sw, book: book, conn: conns[0], conns: conns,
-		in:       make([]chan *packet.Frame, cfg.workers),
-		out:      make(chan outFrame, switchQueueDepth),
-		sendDone: make(chan struct{}),
+		drained:  make([]atomic.Int32, len(conns)),
 		fault:    cfg.fault,
 		procHist: stats.NewLatencyHistogram(),
 	}
 	for _, c := range conns {
 		n.rcvBuf = configureSocket(c)
 	}
-	depth := switchQueueDepth / cfg.workers
-	if depth < 64 {
-		depth = 64
-	}
-	for i := range n.in {
-		n.in[i] = make(chan *packet.Frame, depth)
-	}
 	book.Set(sw.Addr(), n.conn.LocalAddr().(*net.UDPAddr))
-	n.workerWG.Add(cfg.workers)
-	for i := range n.in {
-		go n.processLoop(n.in[i])
-	}
 	n.recvWG.Add(len(conns))
-	for _, c := range conns {
+	for i, c := range conns {
 		ring := newRecvRing(cfg.batch)
 		var snd batchSender
 		if cfg.portable {
@@ -348,18 +320,9 @@ func NewSwitchNode(sw *core.Switch, book *AddressBook, bind string, opts ...Node
 		} else {
 			snd = newBatchSender(c)
 		}
-		go n.ingestLoop(cfg.newReader(c, ring), ring, snd)
+		go n.ingestLoop(i, cfg.newReader(c, ring), ring, snd)
 	}
-	go n.closeInWhenDrained()
-	go n.closeOutWhenDrained()
-	go n.sendLoop()
 	return n, nil
-}
-
-// keyShard hashes a key onto a worker queue: per-key FIFO order is
-// preserved because one key always lands on one worker.
-func keyShard(k kv.Key, workers int) int {
-	return int(k.Hash() % uint64(workers))
 }
 
 // Switch exposes the dataplane (local agent access in-process).
@@ -369,7 +332,8 @@ func (n *SwitchNode) Switch() *core.Switch { return n.sw }
 func (n *SwitchNode) Endpoint() *net.UDPAddr { return n.conn.LocalAddr().(*net.UDPAddr) }
 
 // Close stops the node (fail-stop: packets to it are lost, like a dead
-// switch). The pipeline drains stage by stage behind the dead socket.
+// switch). Close returns once every ingest goroutine has sent its last
+// batch and exited.
 func (n *SwitchNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -389,7 +353,7 @@ func (n *SwitchNode) Close() error {
 			err = cerr
 		}
 	}
-	<-n.sendDone
+	n.recvWG.Wait()
 	return err
 }
 
@@ -466,7 +430,7 @@ func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 		telemetry.NodeDecodeErrors:     "datagrams containing undecodable bytes",
 		telemetry.NodeTruncatedBatches: "batched datagrams cut short by a corrupt frame",
 		telemetry.NodeRecvFrames:       "frames decoded off the wire",
-		telemetry.NodeQueueDepth:       "frames waiting in ingest worker queues",
+		telemetry.NodeQueueDepth:       "datagrams the last ingest syscall drained, summed over sockets",
 		telemetry.SwitchReads:          "read queries served here",
 		telemetry.SwitchProcessed:      "NetChain queries processed locally",
 		telemetry.SwitchTransits:       "frames forwarded without local processing",
@@ -496,12 +460,14 @@ func (n *SwitchNode) SetEventSink(addr packet.Addr, ep *net.UDPAddr) {
 	n.evtSink.Store(&eventSink{addr: addr, ep: ep})
 }
 
-// QueueDepth returns the number of frames waiting in the node's ingest
-// worker queues — the backlog signal heartbeat payloads carry.
+// QueueDepth returns how many datagrams the last receive syscall drained,
+// summed over the node's ingest sockets — the backlog signal heartbeat
+// payloads carry. A node keeping up drains one datagram per wakeup; a
+// backlogged one drains up to a full receive ring.
 func (n *SwitchNode) QueueDepth() int {
 	depth := 0
-	for _, ch := range n.in {
-		depth += len(ch)
+	for i := range n.drained {
+		depth += int(n.drained[i].Load())
 	}
 	return depth
 }
@@ -584,23 +550,55 @@ func (n *SwitchNode) StartHeartbeats(monitor packet.Addr, every time.Duration) e
 	return nil
 }
 
-// ingestLoop owns one socket: it drains whole datagram batches per
+// stampStripes is the number of head key stripes; a power of two no larger
+// than 64, so one uint64 records the stripes an ingest loop holds.
+const stampStripes = 64
+
+// holdStamp takes f's key stripe for an ingest loop about to stamp a
+// fresh mutation, unless *held already has it, so a later version of the
+// key stamped on another ingest goroutine cannot reach the wire first —
+// a replica would drop the earlier write as stale and its client would
+// wait out a retry. The loop releases every stripe it holds after its
+// next flush (releaseStamps). If another loop holds the stripe, this one
+// first sends and releases its own batch, so a loop never waits while
+// holding a stripe and no lock cycle can form.
+func (n *SwitchNode) holdStamp(f *packet.Frame, held *uint64, eg *egressBatch) {
+	s := f.NC.Key.Hash() % stampStripes
+	if *held&(1<<s) != 0 {
+		return
+	}
+	if !n.stamps[s].TryLock() {
+		eg.flush()
+		n.releaseStamps(held)
+		n.stamps[s].Lock()
+	}
+	*held |= 1 << s
+}
+
+// releaseStamps unlocks every stripe in *held; call it only once the
+// loop's egress batch is flushed.
+func (n *SwitchNode) releaseStamps(held *uint64) {
+	for *held != 0 {
+		s := bits.TrailingZeros64(*held)
+		*held &^= 1 << s
+		n.stamps[s].Unlock()
+	}
+}
+
+// ingestLoop owns ingest socket idx: it drains whole datagram batches per
 // syscall into its ring, decodes every frame batched inside each
-// datagram, and splits the work — mutating ops detach into pooled frames
-// and shard onto workers by key hash (per-key FIFO through one worker),
-// while reads, replies and transit frames are processed inline, zero-copy
-// off the ring (the seqlock snapshot, not arrival order, linearizes
-// reads — and a client only issues a read-after-write once the write's
-// tail ack arrived, by which point the value is committed). Inline output
-// leaves through this socket's own batched sender, so a read's whole
-// lifetime is two amortized syscalls and no channel hops.
+// datagram, and runs each one through the dataplane inline, zero-copy off
+// the ring — reads, writes, replies and transit frames alike. Output
+// leaves through this socket's own batched sender, flushed once per
+// receive batch, so a hop costs two amortized syscalls and no channel
+// hand-offs. A write's value is copied into switch storage (and into its
+// serialized output) before the next batch overwrites the ring.
 //
 // Only a closed socket ends the loop; any other read error — an ICMP
 // refusal surfacing from a dead client, a transient ENOBUFS — is counted
 // and survived. Exiting on those killed the switch's whole data plane.
-func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender) {
+func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd batchSender) {
 	defer n.recvWG.Done()
-	workers := len(n.in)
 	var f packet.Frame
 	eg := newEgressBatch(snd)
 	if n.fault != nil {
@@ -611,30 +609,28 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 	}
 	emit := eg.add
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
+	var behind int      // datagrams after the current one in this batch
+	var held uint64     // stamp stripes held until the next flush
+	multi := len(n.conns) > 1
 	handleInline := func(f *packet.Frame) {
 		if f.NC.Traced {
-			// In-band telemetry ingest stamp: receive time, queue depth at
-			// arrival, worker shard. Carried as frame context until the
-			// dataplane appends the hop record.
+			// In-band telemetry ingest stamp: receive time, datagrams
+			// still behind this one in its batch, ingest socket. Carried
+			// as frame context until the dataplane appends the hop record.
 			f.TraceIngress = time.Now().UnixNano()
-			f.TraceQueue = clampQueue(n.QueueDepth())
+			f.TraceQueue = clampQueue(behind)
+			f.TraceShard = uint8(idx)
 		}
-		switch f.NC.Op {
-		case kv.OpWrite, kv.OpDelete, kv.OpCAS, kv.OpSync:
-			g := packet.GetFrame()
-			f.CloneTo(g) // detach from the ring before the next batch lands
-			shard := keyShard(g.NC.Key, workers)
-			g.TraceShard = uint8(shard)
-			n.in[shard] <- g
-		default:
-			if procTick++; procTick&1023 == 0 {
-				t0 := time.Now()
-				n.handle(f, emit)
-				n.procHist.ObserveDuration(time.Since(t0))
-				return
-			}
+		if multi && f.NC.Op.IsMutation() && f.NC.Version().IsZero() {
+			n.holdStamp(f, &held, eg) // a fresh mutation: this node is its head
+		}
+		if procTick++; procTick&255 == 0 {
+			t0 := time.Now()
 			n.handle(f, emit)
+			n.procHist.ObserveDuration(time.Since(t0))
+			return
 		}
+		n.handle(f, emit)
 	}
 	for {
 		k, err := rd.ReadBatch(ring)
@@ -646,12 +642,14 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 			time.Sleep(20 * time.Microsecond) // don't spin on an error storm
 			continue
 		}
+		n.drained[idx].Store(int32(k))
 		n.recvBatches.Add(1)
 		n.recvDgrams.Add(uint64(k))
 		for i := 0; i < k; i++ {
 			if n.fault != nil && !n.fault.Ingress(ring.bufs[i][:ring.sizes[i]]) {
 				continue
 			}
+			behind = k - 1 - i
 			frames, derr := packet.DecodeBatch(&f, ring.bufs[i][:ring.sizes[i]], handleInline)
 			n.recvFrames.Add(uint64(frames))
 			if derr != nil {
@@ -665,66 +663,7 @@ func (n *SwitchNode) ingestLoop(rd batchReader, ring *recvRing, snd batchSender)
 			}
 		}
 		eg.flush()
-	}
-}
-
-// closeInWhenDrained closes the worker queues once every ingest goroutine
-// has exited (all sockets closed), so the workers drain and exit.
-func (n *SwitchNode) closeInWhenDrained() {
-	n.recvWG.Wait()
-	for _, ch := range n.in {
-		close(ch)
-	}
-}
-
-func (n *SwitchNode) processLoop(in <-chan *packet.Frame) {
-	defer n.workerWG.Done()
-	emit := func(o outFrame) { n.out <- o }
-	var procTick uint32
-	for f := range in {
-		if procTick++; procTick&255 == 0 {
-			t0 := time.Now()
-			n.handle(f, emit)
-			n.procHist.ObserveDuration(time.Since(t0))
-		} else {
-			n.handle(f, emit)
-		}
-		packet.PutFrame(f)
-	}
-}
-
-// closeOutWhenDrained closes the send queue once every worker has exited,
-// so the send loop flushes the tail and terminates.
-func (n *SwitchNode) closeOutWhenDrained() {
-	n.workerWG.Wait()
-	close(n.out)
-}
-
-// sendLoop drains worker egress, folding the whole queued burst into one
-// batched send syscall (coalescing same-endpoint frames into single
-// datagrams along the way).
-func (n *SwitchNode) sendLoop() {
-	defer close(n.sendDone)
-	eg := newEgressBatch(newBatchSender(n.conn))
-	if n.fault != nil {
-		eg.withFault(n.fault, rawSender(n.conn))
-	}
-	for o := range n.out {
-		eg.add(o)
-	drain:
-		for {
-			select {
-			case o2, ok := <-n.out:
-				if !ok {
-					eg.flush()
-					return
-				}
-				eg.add(o2)
-			default:
-				break drain
-			}
-		}
-		eg.flush()
+		n.releaseStamps(&held)
 	}
 }
 
@@ -1013,7 +952,7 @@ func NewClient(book *AddressBook, cfg ClientConfig) (*Client, error) {
 		timeout:  cfg.Timeout,
 		retries:  cfg.Retries,
 		start:    time.Now(),
-		sendCh:   make(chan outFrame, switchQueueDepth),
+		sendCh:   make(chan outFrame, clientSendQueueDepth),
 		sendDone: make(chan struct{}),
 		done:     make(chan struct{}),
 

@@ -75,10 +75,6 @@ type ClusterConfig struct {
 	ClientTimeout time.Duration
 	// ClientRetries bounds retransmissions per query (default 5).
 	ClientRetries int
-	// IngestWorkers sizes each switch node's dataplane worker pool
-	// (frames shard onto workers by key hash, preserving per-key order).
-	// 0 = one worker per schedulable core, capped at 8.
-	IngestWorkers int
 	// IngestSockets sets how many SO_REUSEPORT sockets share each switch
 	// node's port (the kernel shards client flows across them by 4-tuple
 	// hash). 0 = one per schedulable core, capped at 4; ignored on
@@ -93,7 +89,7 @@ type ClusterConfig struct {
 	// starts empty — re-learn its subscribers quickly.
 	RelayLeaseTTL time.Duration
 	// Faults, when set, threads the wire nemesis through every socket the
-	// cluster opens: switch ingest workers, the relay's ingest and control
+	// cluster opens: switch ingest sockets, the relay's ingest and control
 	// sockets, client sockets, watch subscriptions, and the controller's
 	// agent RPC streams. nil is the production configuration.
 	Faults *faultconn.Injector
@@ -234,7 +230,6 @@ func (c *Cluster) bootSwitch() (packet.Addr, error) {
 		return 0, err
 	}
 	nodeOpts := []transport.NodeOption{
-		transport.WithIngestWorkers(c.cfg.IngestWorkers),
 		transport.WithIngestSockets(c.cfg.IngestSockets),
 		transport.WithRecvBatch(c.cfg.RecvBatch),
 	}
