@@ -448,6 +448,80 @@ func BenchmarkRealUDPWritePipelined(b *testing.B) {
 	}
 }
 
+// BenchmarkRealUDPHotKeyWriters: four clients, attached through different
+// switches, pipeline writes to four shared hot keys on 4-socket nodes, so
+// writes to one key reach its head on several ingest sockets at once.
+// retries/op counts the writes a replica dropped as stale (or lost) and a
+// client had to resend.
+func BenchmarkRealUDPHotKeyWriters(b *testing.B) {
+	const clients, hot = 4, 4
+	cl, err := StartLocalCluster(ClusterConfig{ClientWindow: 16, IngestSockets: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	keys := make([]Key, hot)
+	for i := range keys {
+		keys[i] = KeyFromString(fmt.Sprintf("hot-%d", i))
+		if err := cl.Insert(keys[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cs := make([]*Client, clients)
+	for i := range cs {
+		c, err := cl.NewClient(i % cl.Switches())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		for _, k := range keys { // warm every chain from every client
+			if _, err := c.Write(k, Value("warm")); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cs[i] = c
+	}
+	retries0 := uint64(0)
+	for _, c := range cs {
+		retries0 += c.TransportStats().Retries
+	}
+	v := Value("0123456789abcdef")
+	lat := make([]time.Duration, b.N)
+	var fails atomic.Uint64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	wg.Add(b.N)
+	for ci, c := range cs {
+		go func(ci int, c *Client) {
+			for i := ci; i < b.N; i += clients {
+				i := i
+				start := time.Now()
+				c.WriteAsync(keys[i/clients%hot], v, func(_ Version, err error) {
+					lat[i] = time.Since(start)
+					if err != nil {
+						fails.Add(1)
+					}
+					wg.Done()
+				})
+			}
+		}(ci, c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	if n := fails.Load(); n > 0 {
+		b.Fatalf("%d of %d writes failed", n, b.N)
+	}
+	retries := uint64(0)
+	for _, c := range cs {
+		retries += c.TransportStats().Retries
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+	b.ReportMetric(float64(lat[len(lat)*50/100].Microseconds()), "p50_µs")
+	b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99_µs")
+	b.ReportMetric(float64(retries-retries0)/float64(b.N), "retries/op")
+}
+
 // BenchmarkZKKVWriteLatency: one quorum write through the real TCP
 // baseline ensemble on loopback — compare with BenchmarkRealUDPWriteLatency.
 func BenchmarkZKKVWriteLatency(b *testing.B) {

@@ -13,9 +13,9 @@ import (
 // detector differences consecutive payloads into rate EWMAs, so agents
 // stay stateless — they just snapshot counters.
 type Payload struct {
-	// Queue is the ingest backlog at emission time (datagrams the last
-	// receive syscalls drained on the real transport; microseconds of
-	// modelled backlog in the simulator).
+	// Queue is the ingest backlog at emission time (on the real
+	// transport, datagrams in the receive batches not yet flushed, 0 when
+	// idle; microseconds of modelled backlog in the simulator).
 	Queue uint32
 	// Drops counts frames the switch discarded locally (loss, queue
 	// overflow, gray-degradation loss) since boot.

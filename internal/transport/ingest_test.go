@@ -129,12 +129,13 @@ func someClientsLast(val kv.Value, clients, k, writesPerKey int) bool {
 // writes interleave in any order — but every write must be applied
 // exactly once (dense versions), and because each client's flow is read
 // in order by one goroutine, the value stamped last for a key must be
-// the last write some client issued for it.
+// the last write some client issued for it. Once the load stops, the
+// node's backlog signal must fall back to zero.
 func TestIngestPoolPerKeyOrdering(t *testing.T) {
 	book := NewAddressBook()
 	head := packet.AddrFrom4(10, 0, 0, 1)
 	keys := orderedKeys("ordered", 8)
-	chainNodes(t, book, []packet.Addr{head}, keys)
+	node := chainNodes(t, book, []packet.Addr{head}, keys)[0]
 	ops := chainClients(t, book, []packet.Addr{head}, 4, 32, 0)
 	const writesPerKey = 30
 	if err := pipelineWrites(ops, keys, writesPerKey); err != nil {
@@ -151,6 +152,13 @@ func TestIngestPoolPerKeyOrdering(t *testing.T) {
 		if !someClientsLast(val, len(ops), k, writesPerKey) {
 			t.Fatalf("key %d: final value %q is no client's last write (a flow was reordered)", k, val)
 		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for node.QueueDepth() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle node reports queue depth %d, want 0", node.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -209,13 +209,14 @@ type SwitchNode struct {
 	conn  *net.UDPConn   // primary socket (heartbeats, delayed fault re-injection)
 	conns []*net.UDPConn // every ingest socket, conns[0] == conn
 
-	// drained holds, per ingest socket, how many datagrams its last
-	// receive syscall returned: the node's backlog signal (QueueDepth).
+	// drained holds, per ingest socket, how many datagrams the batch it
+	// is working through holds, 0 once that batch is flushed: the node's
+	// backlog signal (QueueDepth).
 	drained []atomic.Int32
 
 	// stamps are the head's key stripes: an ingest goroutine that stamps
 	// a fresh mutation holds the key's stripe until its batch is on the
-	// wire (multi-socket nodes only; one socket is one goroutine).
+	// wire.
 	stamps [stampStripes]sync.Mutex
 
 	readErrs     atomic.Uint64
@@ -430,7 +431,7 @@ func (n *SwitchNode) RegisterMetrics(reg *telemetry.Registry) {
 		telemetry.NodeDecodeErrors:     "datagrams containing undecodable bytes",
 		telemetry.NodeTruncatedBatches: "batched datagrams cut short by a corrupt frame",
 		telemetry.NodeRecvFrames:       "frames decoded off the wire",
-		telemetry.NodeQueueDepth:       "datagrams the last ingest syscall drained, summed over sockets",
+		telemetry.NodeQueueDepth:       "datagrams in the receive batches the ingest sockets are working through (0 once flushed), summed over sockets",
 		telemetry.SwitchReads:          "read queries served here",
 		telemetry.SwitchProcessed:      "NetChain queries processed locally",
 		telemetry.SwitchTransits:       "frames forwarded without local processing",
@@ -460,10 +461,12 @@ func (n *SwitchNode) SetEventSink(addr packet.Addr, ep *net.UDPAddr) {
 	n.evtSink.Store(&eventSink{addr: addr, ep: ep})
 }
 
-// QueueDepth returns how many datagrams the last receive syscall drained,
-// summed over the node's ingest sockets — the backlog signal heartbeat
-// payloads carry. A node keeping up drains one datagram per wakeup; a
-// backlogged one drains up to a full receive ring.
+// QueueDepth returns how many datagrams the node's ingest loops hold in
+// hand: the size of each socket's current receive batch, 0 for a socket
+// whose batch is flushed and that waits for the next. It is the backlog
+// signal heartbeat payloads carry. An idle node reports 0, a node keeping
+// up about one per busy socket, and a backlogged one up to a full receive
+// ring per socket.
 func (n *SwitchNode) QueueDepth() int {
 	depth := 0
 	for i := range n.drained {
@@ -611,7 +614,7 @@ func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd bat
 	var procTick uint32 // loop-local sampling tick, no hot-path atomics
 	var behind int      // datagrams after the current one in this batch
 	var held uint64     // stamp stripes held until the next flush
-	multi := len(n.conns) > 1
+	self := n.sw.Addr()
 	handleInline := func(f *packet.Frame) {
 		if f.NC.Traced {
 			// In-band telemetry ingest stamp: receive time, datagrams
@@ -621,7 +624,7 @@ func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd bat
 			f.TraceQueue = clampQueue(behind)
 			f.TraceShard = uint8(idx)
 		}
-		if multi && f.NC.Op.IsMutation() && f.NC.Version().IsZero() {
+		if f.IP.Dst == self && f.NC.Op.IsMutation() && f.NC.Version().IsZero() {
 			n.holdStamp(f, &held, eg) // a fresh mutation: this node is its head
 		}
 		if procTick++; procTick&255 == 0 {
@@ -664,6 +667,7 @@ func (n *SwitchNode) ingestLoop(idx int, rd batchReader, ring *recvRing, snd bat
 		}
 		eg.flush()
 		n.releaseStamps(&held)
+		n.drained[idx].Store(0)
 	}
 }
 
