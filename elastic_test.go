@@ -12,7 +12,7 @@ import (
 // with data intact and writable at every step.
 func TestClusterElasticScaleOutScaleIn(t *testing.T) {
 	cl, err := netchain.StartLocalCluster(netchain.ClusterConfig{
-		Switches: 4, Replicas: 3, VNodesPerSwitch: 4,
+		Switches: 4, Replicas: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,17 +9,15 @@ import (
 	"time"
 
 	"netchain/internal/controller"
-	"netchain/internal/core"
 	"netchain/internal/faultconn"
 	"netchain/internal/health"
 	"netchain/internal/kv"
 	"netchain/internal/lincheck"
+	"netchain/internal/livecluster"
 	"netchain/internal/netsim"
 	"netchain/internal/packet"
 	"netchain/internal/query"
 	"netchain/internal/relay"
-	"netchain/internal/ring"
-	"netchain/internal/swsim"
 	"netchain/internal/transport"
 	"netchain/internal/watch"
 )
@@ -132,46 +130,29 @@ type RealChaosResult struct {
 	NemesisLog []string
 }
 
-// realCluster is the live-UDP deployment: three chain members plus one
-// spare, each a real core.Switch behind a transport.SwitchNode and an RPC
-// agent, a wall-clock controller, a relay tier, a φ-accrual health
-// monitor, and an autopilot — every socket threaded through one
-// faultconn.Injector.
+// realCluster is the live loopback harness (livecluster) with three
+// chain members plus one spare, every datagram socket threaded through
+// one faultconn.Injector, plus what a hands-free wire run adds on top: a
+// φ-accrual health monitor fed by switch heartbeats, and an autopilot.
 type realCluster struct {
-	inj  *faultconn.Injector
-	book *transport.AddressBook
-
-	sws    []packet.Addr // members [0..2], spare [3]
-	nodes  []*transport.SwitchNode
-	agents map[packet.Addr]controller.Agent
-
-	ringV *ring.Ring
-	ctl   *controller.Controller
-	rs    *relay.Server
+	*livecluster.Cluster
+	inj     *faultconn.Injector
+	sws     []packet.Addr // members [0..2], spare [3]
+	clients []*livecluster.Client
 
 	det   *health.Detector
 	mon   *health.Monitor
 	pilot *controller.Autopilot
-
-	tcs []*transport.Client
-	ops []*transport.Ops
-
-	stops []func() error
 }
 
 func (rc *realCluster) Close() {
-	for i := len(rc.stops) - 1; i >= 0; i-- {
-		_ = rc.stops[i]()
+	for _, cl := range rc.clients {
+		cl.Close()
 	}
-	rc.stops = nil
-}
-
-func (rc *realCluster) route(k kv.Key) (query.Route, error) {
-	rt := rc.ctl.Route(k)
-	if len(rt.Hops) == 0 {
-		return query.Route{}, fmt.Errorf("experiments: no chain for key %v", k)
+	if rc.mon != nil {
+		rc.mon.Close()
 	}
-	return query.Route{Group: rt.Group, Hops: rt.Hops}, nil
+	rc.Cluster.Close()
 }
 
 // realChaosMonitorAddr is the monitor's virtual address — outside the
@@ -179,91 +160,20 @@ func (rc *realCluster) route(k kv.Key) (query.Route, error) {
 var realChaosMonitorAddr = packet.AddrFrom4(10, 255, 0, 1)
 
 func newRealCluster(o RealChaosOpts) (*realCluster, error) {
-	rc := &realCluster{
-		inj: faultconn.New(o.Seed,
-			faultconn.WithTimeScale(o.TimeScale),
-		),
-		book:   transport.NewAddressBook(),
-		agents: make(map[packet.Addr]controller.Agent),
+	inj := faultconn.New(o.Seed, faultconn.WithTimeScale(o.TimeScale))
+	lc, err := livecluster.Start(livecluster.Config{Switches: 4, Replicas: 3, Faults: inj})
+	if err != nil {
+		return nil, err
 	}
+	rc := &realCluster{Cluster: lc, inj: inj}
 	ok := false
 	defer func() {
 		if !ok {
 			rc.Close()
 		}
 	}()
-
-	// Relay tier first so switch nodes can point their event egress at it.
-	relayAddr := packet.AddrFrom4(10, 2, 0, 1)
-	rs, err := relay.Start(relay.Config{Addr: relayAddr, Faults: rc.inj.Pipe(relayAddr)})
-	if err != nil {
-		return nil, err
-	}
-	rc.rs = rs
-	rc.stops = append(rc.stops, rs.Close)
-	rc.inj.RegisterEndpoint(relayAddr, rs.IngestEndpoint())
-	rc.inj.RegisterEndpoint(relayAddr, rs.ControlEndpoint())
-
-	// Four switches: three chain members and one recovery spare.
-	for i := 0; i < 4; i++ {
-		addr := packet.AddrFrom4(10, 0, 0, byte(i+1))
-		sw, err := core.NewSwitch(addr, swsim.Config{
-			Stages: 8, SlotBytes: 16, SlotsPerStage: 256, PPS: 1e9,
-		})
-		if err != nil {
-			return nil, err
-		}
-		node, err := transport.NewSwitchNode(sw, rc.book, "127.0.0.1:0",
-			transport.WithFaultPipe(rc.inj.Pipe(addr)))
-		if err != nil {
-			return nil, err
-		}
-		node.SetEventSink(relayAddr, rs.IngestEndpoint())
-		rc.inj.RegisterEndpoint(addr, node.Endpoint())
-		rc.sws = append(rc.sws, addr)
-		rc.nodes = append(rc.nodes, node)
-		rc.stops = append(rc.stops, node.Close)
-
-		rpcAddr, stopAgent, err := transport.ServeAgent(sw, "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		rc.stops = append(rc.stops, stopAgent)
-		// The agent dial is deliberately unwrapped: the sim's chaos runs
-		// use LocalAgent, whose control channel survives a fail-stopped
-		// dataplane — the wire keeps that parity so the autopilot can
-		// still program rules into the surviving switches.
-		agent, err := transport.DialAgent(rpcAddr.String())
-		if err != nil {
-			return nil, err
-		}
-		rc.agents[addr] = agent
-	}
-
-	members := rc.sws[:3]
-	rc.ringV, err = ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 3, Seed: 0x6e63}, members)
-	if err != nil {
-		return nil, err
-	}
-	ccfg := controller.DefaultConfig()
-	ccfg.RuleDelay = time.Millisecond
-	ccfg.SyncPerItem = 0
-	rc.ctl, err = controller.New(ccfg, rc.ringV, controller.WallClock{},
-		func(a packet.Addr) (controller.Agent, bool) {
-			ag, found := rc.agents[a]
-			return ag, found
-		},
-		func(failed packet.Addr) []packet.Addr {
-			var out []packet.Addr
-			for _, a := range rc.sws {
-				if a != failed {
-					out = append(out, a)
-				}
-			}
-			return out
-		})
-	if err != nil {
-		return nil, err
+	for i := 0; i < lc.Switches(); i++ {
+		rc.sws = append(rc.sws, lc.SwitchAddr(i))
 	}
 
 	// Health plane: the monitor's socket runs through the nemesis too
@@ -272,25 +182,24 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 	mv := realChaosMonitorAddr
 	rc.det = health.NewDetector(health.Defaults(o.Heartbeat))
 	rc.mon, err = health.NewMonitor("127.0.0.1:0", mv, rc.det,
-		health.WithMonitorFaults(rc.inj.Pipe(mv)))
+		health.WithMonitorFaults(inj.Pipe(mv)))
 	if err != nil {
 		return nil, err
 	}
-	rc.stops = append(rc.stops, rc.mon.Close)
-	rc.inj.RegisterEndpoint(mv, rc.mon.Endpoint())
-	rc.book.Set(mv, rc.mon.Endpoint())
+	inj.RegisterEndpoint(mv, rc.mon.Endpoint())
+	lc.Book().Set(mv, rc.mon.Endpoint())
 	for _, a := range rc.sws {
 		rc.det.Track(a, rc.mon.Now())
 		rc.mon.Watch(a)
 	}
 	rc.mon.StartProbes(2*o.Heartbeat, 8*o.Heartbeat)
-	for _, n := range rc.nodes {
-		if err := n.StartHeartbeats(mv, o.Heartbeat); err != nil {
+	for i := range rc.sws {
+		if err := lc.Node(i).StartHeartbeats(mv, o.Heartbeat); err != nil {
 			return nil, err
 		}
 	}
 
-	rc.pilot = controller.NewAutopilot(rc.ctl, rc.det, controller.WallClock{}, rc.mon.Now,
+	rc.pilot = controller.NewAutopilot(lc.Controller(), rc.det, controller.WallClock{}, rc.mon.Now,
 		controller.AutopilotConfig{
 			Interval: o.Heartbeat,
 			Spares:   []packet.Addr{rc.sws[3]},
@@ -298,29 +207,18 @@ func newRealCluster(o RealChaosOpts) (*realCluster, error) {
 
 	// Clients gateway through the survivors (S0 and the gray S2, never
 	// the fail-stop victim S1): a client whose ToR powers off is a host
-	// outage, not a protocol property this scenario measures.
+	// outage, not a protocol property this scenario measures. They are the
+	// cluster's first clients, so client i+1 is 10.1.0.(i+1).
 	for i := 0; i < o.Clients; i++ {
-		caddr := packet.AddrFrom4(10, 1, 0, byte(i+1))
-		gw := rc.sws[0]
+		gw := 0
 		if i%2 == 1 {
-			gw = rc.sws[2]
+			gw = 2
 		}
-		tc, err := transport.NewClient(rc.book, transport.ClientConfig{
-			Addr:    caddr,
-			Gateway: gw,
-			Bind:    "127.0.0.1:0",
-			Timeout: o.Timeout,
-			Retries: 8,
-			Faults:  rc.inj.Pipe(caddr),
-		})
+		cl, err := lc.Attach(gw, transport.ClientConfig{Timeout: o.Timeout, Retries: 8})
 		if err != nil {
 			return nil, err
 		}
-		rc.inj.RegisterEndpoint(caddr, tc.LocalEndpoint())
-		rc.tcs = append(rc.tcs, tc)
-		rc.ops = append(rc.ops, &transport.Ops{Client: tc, Dir: rc.route})
-		stop := tc.Close
-		rc.stops = append(rc.stops, func() error { stop(); return nil })
+		rc.clients = append(rc.clients, cl)
 	}
 	ok = true
 	return rc, nil
@@ -408,10 +306,10 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		if name == locks[0] || name == locks[1] {
 			val = chaosOwnerBytes(0)
 		}
-		if _, err := rc.ctl.Insert(k); err != nil {
+		if err := rc.Insert(k); err != nil {
 			return nil, err
 		}
-		if _, err := rc.ops[0].Write(k, val); err != nil {
+		if _, err := rc.clients[0].Write(k, val); err != nil {
 			return nil, fmt.Errorf("seed %q: %w", name, err)
 		}
 		initial[name] = string(val)
@@ -428,7 +326,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	for i := 0; i < o.Registers && i < 4; i++ {
 		watchKeys = append(watchKeys, kv.KeyFromString(names[i]))
 	}
-	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.ctl.Route(k).Group }, 256)
+	sub := watch.NewSub(watchKeys, func(k kv.Key) uint16 { return rc.Controller().Route(k).Group }, 256)
 	sig := make(chan struct{}, 1)
 	deliver := func(ev query.Event) {
 		if sub.ApplyEvent(ev) {
@@ -439,7 +337,8 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		}
 	}
 	wAddr := packet.AddrFrom4(10, 3, 0, 1)
-	wconn, err := relay.Subscribe(rc.rs.Mode(), rc.rs.ControlEndpoint(), sub.Groups(), deliver,
+	rs := rc.Relay()
+	wconn, err := relay.Subscribe(rs.Mode(), rs.ControlEndpoint(), sub.Groups(), deliver,
 		relay.WithSubFaults(rc.inj.Pipe(wAddr)))
 	if err != nil {
 		return nil, fmt.Errorf("watch subscribe: %w", err)
@@ -457,7 +356,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	}()
 	readDirty := func() {
 		for _, k := range sub.TakeDirty() {
-			v, ver, rerr := rc.ops[0].Read(k)
+			v, ver, rerr := rc.clients[0].Read(k)
 			switch {
 			case rerr == nil:
 				sub.ApplyRead(k, true, v, ver)
@@ -519,7 +418,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 		wg.Add(1)
 		go func(cid int) {
 			defer wg.Done()
-			ops := rc.ops[cid]
+			ops := rc.clients[cid]
 			rng := rand.New(rand.NewSource(o.Seed*1000 + int64(cid)))
 			holding := map[string]bool{}
 			owner := uint64(cid + 1)
@@ -662,7 +561,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	time.Sleep(50 * time.Millisecond)
 	res.WatchConverged = true
 	for _, k := range watchKeys {
-		_, ver, rerr := rc.ops[0].Read(k)
+		_, ver, rerr := rc.clients[0].Read(k)
 		if rerr != nil {
 			res.WatchConverged = false
 			continue
@@ -706,7 +605,7 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 	}
 	if sc.failover {
 		res.ChainsRepaired = true
-		for _, rt := range rc.ctl.Routes() {
+		for _, rt := range rc.Controller().Routes() {
 			if len(rt.Hops) != 3 {
 				res.ChainsRepaired = false
 			}
@@ -724,8 +623,8 @@ func RunRealChaos(o RealChaosOpts) (*RealChaosResult, error) {
 			res.Unknowns++
 		}
 	}
-	for _, tc := range rc.tcs {
-		st := tc.Stats()
+	for _, cl := range rc.clients {
+		st := cl.TransportStats()
 		res.Timeouts += st.Timeouts
 		res.Sent += st.Sent
 		res.Retries += st.Retries

@@ -5,15 +5,9 @@ import (
 	"time"
 
 	"netchain/internal/benchjson"
-	"netchain/internal/core"
-	"netchain/internal/kv"
 	"netchain/internal/packet"
-	"netchain/internal/query"
-	"netchain/internal/ring"
 	"netchain/internal/stats"
-	"netchain/internal/swsim"
 	"netchain/internal/trace"
-	"netchain/internal/transport"
 )
 
 // The trace experiment answers "where does the sub-RTT budget go" with
@@ -66,105 +60,6 @@ func (o *TraceBenchOpts) defaults() {
 	}
 }
 
-// traceCluster is a real-UDP 3-switch chain deployment: every key's
-// chain traverses all three switches (replicas=3 over 3 members), so
-// writes exercise head→mid→tail and reads the tail's register file.
-type traceCluster struct {
-	book  *transport.AddressBook
-	nodes []*transport.SwitchNode
-	ring  *ring.Ring
-	keys  []kv.Key
-	rts   map[kv.Key]query.Route
-	tcs   []*transport.Client
-	ops   []*transport.Ops
-}
-
-func newTraceCluster(o TraceBenchOpts, col *trace.Collector) (*traceCluster, error) {
-	c := &traceCluster{book: transport.NewAddressBook(), rts: map[kv.Key]query.Route{}}
-	var addrs []packet.Addr
-	for i := 0; i < 3; i++ {
-		addr := packet.AddrFrom4(10, 0, 0, byte(i+1))
-		addrs = append(addrs, addr)
-		sw, err := core.NewSwitch(addr, swsim.Config{
-			Stages: 8, SlotBytes: 16, SlotsPerStage: 2 * o.Keys, PPS: 1e9,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		node, err := transport.NewSwitchNode(sw, c.book, "127.0.0.1:0")
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-	}
-	r, err := ring.New(ring.Config{VNodesPerSwitch: 4, Replicas: 3, Seed: 0x6e63}, addrs)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.ring = r
-	for i := 0; i < o.Clients; i++ {
-		tc, err := transport.NewClient(c.book, transport.ClientConfig{
-			Addr:            packet.AddrFrom4(10, 1, 0, byte(i+1)),
-			Gateway:         addrs[0],
-			Bind:            "127.0.0.1:0",
-			Window:          o.Window,
-			Timeout:         250 * time.Millisecond,
-			Retries:         8,
-			Tracer:          col,
-			TraceSampleRate: o.SampleRate,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.tcs = append(c.tcs, tc)
-		c.ops = append(c.ops, &transport.Ops{Client: tc, Dir: c.route})
-	}
-	c.keys = make([]kv.Key, o.Keys)
-	val := make(kv.Value, 64)
-	for i := range val {
-		val[i] = byte(i)
-	}
-	for i := range c.keys {
-		c.keys[i] = kv.KeyFromUint64(uint64(i + 1))
-		for _, node := range c.nodes {
-			if err := node.Switch().InstallKey(c.keys[i]); err != nil {
-				c.Close()
-				return nil, err
-			}
-		}
-		if _, err := c.ops[0].Write(c.keys[i], val); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("seed key %d: %w", i, err)
-		}
-	}
-	return c, nil
-}
-
-func (c *traceCluster) route(k kv.Key) (query.Route, error) {
-	if rt, ok := c.rts[k]; ok {
-		return rt, nil
-	}
-	rt := query.Route{
-		Group: uint16(c.ring.GroupForKey(k)),
-		Hops:  c.ring.ChainForKey(k).Hops,
-	}
-	c.rts[k] = rt
-	return rt, nil
-}
-
-func (c *traceCluster) Close() {
-	for _, tc := range c.tcs {
-		tc.Close()
-	}
-	for _, n := range c.nodes {
-		n.Close()
-	}
-}
-
 // traceRow encodes one per-hop percentile row: the sample count rides in
 // OpsPerSec (a floor gate on sampling health), the percentiles in µs.
 func traceRow(scenario string, h *stats.Histogram) benchjson.Result {
@@ -183,13 +78,18 @@ func traceRow(scenario string, h *stats.Histogram) benchjson.Result {
 func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 	o.defaults()
 
-	// Phase 1: per-hop breakdown on the 3-switch chain.
+	// Phase 1: per-hop breakdown on a 3-switch chain. Every key's chain
+	// traverses all three switches, so writes exercise head→mid→tail and
+	// reads the tail's register file.
 	col := trace.NewCollector()
-	c, err := newTraceCluster(o, col)
+	c, err := newUDPCluster(UDPBenchOpts{
+		Keys: o.Keys, Clients: o.Clients, Window: o.Window, ValueSize: 64,
+		Tracer: col, TraceSampleRate: o.SampleRate,
+	}, 3)
 	if err != nil {
 		return nil, err
 	}
-	qps, _, err := driveOps(c.ops, c.keys, o.Duration, o.WriteRatio, 0, 64)
+	_, _, err = c.drive(o.Duration, o.WriteRatio, 0, 64)
 	c.Close()
 	if err != nil {
 		return nil, fmt.Errorf("trace breakdown: %w", err)
@@ -219,13 +119,12 @@ func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 		{Scenario: "trace-coverage-pct", OpsPerSec: 100 * cov, Tol: 0.15},
 		{Scenario: "trace-retry-share", OpsPerSec: col.RetryShare(), Optional: true},
 	}
-	_ = qps
 
 	// Phase 2: A/B overhead of the telemetry branch on the single-switch
 	// read scenario — tracing off vs. the default 1/1024 sampling.
 	// Alternating fresh clusters per window keeps thermal/scheduler drift
 	// from loading one arm; the medians damp the rest.
-	overhead, base, traced, err := traceOverhead(o)
+	overhead, base, err := traceOverhead(o)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +135,6 @@ func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 		Tol:       UDPBenchTolerance,
 		TolP99:    4.0,
 	})
-	_ = traced
 	return results, nil
 }
 
@@ -244,20 +142,20 @@ func TraceBench(o TraceBenchOpts) ([]benchjson.Result, error) {
 // untaken) telemetry branch: median read throughput with no tracer vs.
 // with the default 1/1024 sampling, on the same single-switch scenario
 // udp-read-throughput gates. Returns the relative slowdown (negative
-// clamped to 0) and both medians.
-func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err error) {
+// clamped to 0) and the untraced arm's throughput.
+func traceOverhead(o TraceBenchOpts) (overhead, baseQPS float64, err error) {
 	uo := UDPBenchOpts{Duration: o.Duration, Clients: o.Clients, Window: o.Window}
 	uo.defaults()
 	to := uo
 	to.Tracer = trace.NewCollector() // client default: 1/1024
-	baseCl, err := newUDPCluster(uo)
+	baseCl, err := newUDPCluster(uo, 1)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	defer baseCl.Close()
-	tracedCl, err := newUDPCluster(to)
+	tracedCl, err := newUDPCluster(to, 1)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
 	defer tracedCl.Close()
 	// Both clusters live the whole measurement and the windows alternate,
@@ -266,16 +164,17 @@ func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err 
 	// A true branch cost reproduces across window sets, so the hard bound
 	// below only fires after a second set confirms it — one set can lose an
 	// arm to a co-tenant burst on a shared runner.
+	var tracedQPS float64
 	for attempt := 0; attempt < 2; attempt++ {
 		var bases, traceds []float64
 		for i := 0; i <= o.ABWindows; i++ {
 			b, _, err := baseCl.drive(uo.Duration, 0, 0, 64)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("trace overhead (untraced window %d): %w", i, err)
+				return 0, 0, fmt.Errorf("trace overhead (untraced window %d): %w", i, err)
 			}
 			tr, _, err := tracedCl.drive(uo.Duration, 0, 0, 64)
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("trace overhead (traced window %d): %w", i, err)
+				return 0, 0, fmt.Errorf("trace overhead (traced window %d): %w", i, err)
 			}
 			if i == 0 {
 				continue
@@ -294,10 +193,10 @@ func traceOverhead(o TraceBenchOpts) (overhead, baseQPS, tracedQPS float64, err 
 		// noisy CI runners, but a double-digit cost means the untraced fast
 		// path grew real work and must fail the experiment.
 		if overhead <= 0.15 {
-			return overhead, baseQPS, tracedQPS, nil
+			return overhead, baseQPS, nil
 		}
 	}
-	return 0, 0, 0, fmt.Errorf("telemetry overhead %.1f%% on the read path (untraced %.0f qps, traced %.0f qps)",
+	return 0, 0, fmt.Errorf("telemetry overhead %.1f%% on the read path (untraced %.0f qps, traced %.0f qps)",
 		100*overhead, baseQPS, tracedQPS)
 }
 

@@ -9,13 +9,11 @@ import (
 	"time"
 
 	"netchain/internal/benchjson"
-	"netchain/internal/core"
+	"netchain/internal/controller"
 	"netchain/internal/kv"
-	"netchain/internal/packet"
+	"netchain/internal/livecluster"
 	"netchain/internal/query"
-	"netchain/internal/ring"
 	"netchain/internal/stats"
-	"netchain/internal/swsim"
 	"netchain/internal/trace"
 	"netchain/internal/transport"
 )
@@ -107,46 +105,41 @@ func (o *UDPBenchOpts) defaults() {
 	}
 }
 
-// udpCluster is the minimal real-UDP deployment the scenarios run
-// against: one switch node (the per-switch hot path is the quantity under
-// test) and a static single-hop ring — no controller or RPC agents, so
-// nothing but the data plane is on the clock.
+// udpCluster is a real-UDP deployment on the live loopback harness, its
+// keys inserted and seeded, driven by pipelined clients attached through
+// switch 0. Every switch replicates every chain. Routes are pinned once at
+// boot (pinRoutes), so the rows measure the data plane, not the
+// controller's route lock.
 type udpCluster struct {
-	book   *transport.AddressBook
-	node   *transport.SwitchNode
-	ring   *ring.Ring
-	keys   []kv.Key
-	routes map[kv.Key]query.Route
-	ops    []*transport.Ops
-	tcs    []*transport.Client
+	*livecluster.Cluster
+	keys    []kv.Key
+	clients []*livecluster.Client
+	ops     []*transport.Ops
 }
 
-func newUDPCluster(o UDPBenchOpts) (*udpCluster, error) {
-	addr := packet.AddrFrom4(10, 0, 0, 1)
-	sw, err := core.NewSwitch(addr, swsim.Config{
-		Stages: 8, SlotBytes: 16, SlotsPerStage: 2 * o.Keys, PPS: 1e9,
+func newUDPCluster(o UDPBenchOpts, switches int) (*udpCluster, error) {
+	lc, err := livecluster.Start(livecluster.Config{
+		Switches: switches, Replicas: switches, IngestSockets: o.Sockets, RecvBatch: o.Batch,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c := &udpCluster{book: transport.NewAddressBook()}
-	c.node, err = transport.NewSwitchNode(sw, c.book, "127.0.0.1:0",
-		transport.WithIngestSockets(o.Sockets),
-		transport.WithRecvBatch(o.Batch))
-	if err != nil {
-		return nil, err
+	// Nothing here watches, and the rows measure the data plane alone, so
+	// tails publish no push-watch events to the relay.
+	for i := 0; i < switches; i++ {
+		lc.Node(i).SetEventSink(0, nil)
 	}
-	c.ring, err = ring.New(ring.Config{VNodesPerSwitch: 8, Replicas: 1, Seed: 0x6e63},
-		[]packet.Addr{addr})
-	if err != nil {
-		c.Close()
-		return nil, err
+	c := &udpCluster{Cluster: lc, keys: make([]kv.Key, o.Keys)}
+	for i := range c.keys {
+		c.keys[i] = kv.KeyFromUint64(uint64(i + 1))
+		if err := lc.Insert(c.keys[i]); err != nil {
+			c.Close()
+			return nil, err
+		}
 	}
+	route := pinRoutes(lc.Controller(), c.keys)
 	for i := 0; i < o.Clients; i++ {
-		tc, err := transport.NewClient(c.book, transport.ClientConfig{
-			Addr:            packet.AddrFrom4(10, 1, 0, byte(i+1)),
-			Gateway:         addr,
-			Bind:            "127.0.0.1:0",
+		cl, err := lc.Attach(0, transport.ClientConfig{
 			Window:          o.Window,
 			Timeout:         250 * time.Millisecond,
 			Retries:         8,
@@ -157,56 +150,42 @@ func newUDPCluster(o UDPBenchOpts) (*udpCluster, error) {
 			c.Close()
 			return nil, err
 		}
-		c.tcs = append(c.tcs, tc)
-		c.ops = append(c.ops, &transport.Ops{Client: tc, Dir: c.route})
+		c.clients = append(c.clients, cl)
+		c.ops = append(c.ops, &transport.Ops{Client: cl.Transport(), Dir: route})
 	}
-	c.keys = make([]kv.Key, o.Keys)
-	c.routes = make(map[kv.Key]query.Route, o.Keys)
-	val := make(kv.Value, o.ValueSize)
-	for i := range val {
-		val[i] = byte(i)
-	}
-	for i := range c.keys {
-		c.keys[i] = kv.KeyFromUint64(uint64(i + 1))
-		if err := sw.InstallKey(c.keys[i]); err != nil {
-			c.Close()
-			return nil, err
-		}
-		if _, err := c.ops[0].Write(c.keys[i], val); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("seed key %d: %w", i, err)
-		}
+	if err := c.reseed(o.ValueSize); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("seed: %w", err)
 	}
 	return c, nil
 }
 
-// route resolves a key's chain. The topology is static for the lifetime of
-// a scenario, so resolved routes are memoized — the quantity under test is
-// the transport and switch dataplane, not ring arithmetic in the load
-// generator. The map is fully populated during seeding (every key is
-// written once), so steady-state lookups are read-only and race-free.
-func (c *udpCluster) route(k kv.Key) (query.Route, error) {
-	if rt, ok := c.routes[k]; ok {
-		return rt, nil
+// pinRoutes resolves every key's chain once through the controller. The
+// benchmark topologies are static, so the memo stays exact and the load
+// generator never takes the controller's lock; it is read-only after
+// boot, so concurrent lookups are race-free.
+func pinRoutes(ctl *controller.Controller, keys []kv.Key) transport.Directory {
+	routes := make(map[kv.Key]query.Route, len(keys))
+	for _, k := range keys {
+		rt := ctl.Route(k)
+		routes[k] = query.Route{Group: rt.Group, Hops: rt.Hops}
 	}
-	rt := query.Route{
-		Group: uint16(c.ring.GroupForKey(k)),
-		Hops:  c.ring.ChainForKey(k).Hops,
+	return func(k kv.Key) (query.Route, error) {
+		if rt, ok := routes[k]; ok {
+			return rt, nil
+		}
+		return query.Route{}, fmt.Errorf("experiments: key %v has no pinned route", k)
 	}
-	c.routes[k] = rt
-	return rt, nil
 }
 
 func (c *udpCluster) Close() {
-	for _, tc := range c.tcs {
-		tc.Close()
+	for _, cl := range c.clients {
+		cl.Close()
 	}
-	if c.node != nil {
-		c.node.Close()
-	}
+	c.Cluster.Close()
 }
 
-// reseed rewrites every key with a value of n bytes (value-sweep points).
+// reseed writes every key with a value of n bytes.
 func (c *udpCluster) reseed(n int) error {
 	val := make(kv.Value, n)
 	for i := range val {
@@ -220,18 +199,12 @@ func (c *udpCluster) reseed(n int) error {
 	return nil
 }
 
-// drive runs every client at full pipeline depth until the deadline:
-// pick(i) chooses the i-th operation for a client (issued via the async
-// API so the window keeps the pipe full), and the result counts toward
-// throughput and the latency histogram on success.
+// drive runs every client at full pipeline depth until the deadline, with
+// the given write ratio and (optional) zipfian key popularity. Operations
+// go out through the async API so the window keeps the pipe full; each
+// success counts toward throughput and the latency histogram.
 func (c *udpCluster) drive(d time.Duration, writeRatio float64, zipfS float64, valueSize int) (opsPerSec float64, lat *stats.Histogram, err error) {
-	return driveOps(c.ops, c.keys, d, writeRatio, zipfS, valueSize)
-}
-
-// driveOps is the shared load generator behind the real-UDP scenarios:
-// every Ops client runs at full pipeline depth until the deadline, with
-// the given write ratio and (optional) zipfian key popularity.
-func driveOps(clients []*transport.Ops, keys []kv.Key, d time.Duration, writeRatio float64, zipfS float64, valueSize int) (opsPerSec float64, lat *stats.Histogram, err error) {
+	clients, keys := c.ops, c.keys
 	var done atomic.Uint64
 	var failed atomic.Uint64
 	hists := make([]*stats.Histogram, len(clients))
@@ -324,7 +297,7 @@ func ReadScaling(o UDPBenchOpts) ([]benchjson.Result, error) {
 	var out []benchjson.Result
 	for _, p := range o.Procs {
 		runtime.GOMAXPROCS(p)
-		c, err := newUDPCluster(o)
+		c, err := newUDPCluster(o, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -353,7 +326,7 @@ func ReadScaling(o UDPBenchOpts) ([]benchjson.Result, error) {
 // key while the group shard locks absorb the write side.
 func HotKey(o UDPBenchOpts) ([]benchjson.Result, error) {
 	o.defaults()
-	c, err := newUDPCluster(o)
+	c, err := newUDPCluster(o, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +343,7 @@ func HotKey(o UDPBenchOpts) ([]benchjson.Result, error) {
 // linearly in words, not allocations.
 func ValueSweep(o UDPBenchOpts) ([]benchjson.Result, error) {
 	o.defaults()
-	c, err := newUDPCluster(o)
+	c, err := newUDPCluster(o, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -386,21 +386,6 @@ func (i *Injector) Restore(addr packet.Addr) {
 	i.mu.Unlock()
 }
 
-// Dead reports whether addr is currently fail-stopped.
-func (i *Injector) Dead(addr packet.Addr) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.dead[addr]
-}
-
-// grayOf returns addr's gray degradation, if any.
-func (i *Injector) grayOf(addr packet.Addr) (netsim.Gray, bool) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	g, ok := i.gray[addr]
-	return g, ok
-}
-
 // faultForLocked resolves the merged fault on the directed traversal
 // from→to, exactly as netsim's faultFor does.
 func (i *Injector) faultForLocked(from, to packet.Addr) (netsim.LinkFault, bool) {

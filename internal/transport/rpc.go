@@ -156,20 +156,9 @@ func (a RPCAgent) Keys() ([]kv.Key, error) {
 
 // DialAgent connects to a switch agent.
 func DialAgent(addr string) (RPCAgent, error) {
-	return DialAgentWrapped(addr, nil)
-}
-
-// DialAgentWrapped is DialAgent with a connection filter — the wire
-// nemesis wraps the stream so fail-stop and gray degradation reach the
-// controller's RPC path too (a dead switch's agent stops answering, a
-// gray one answers slowly).
-func DialAgentWrapped(addr string, wrap func(net.Conn) net.Conn) (RPCAgent, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return RPCAgent{}, fmt.Errorf("transport: dial agent %s: %w", addr, err)
-	}
-	if wrap != nil {
-		conn = wrap(conn)
 	}
 	return RPCAgent{C: rpc.NewClient(conn)}, nil
 }

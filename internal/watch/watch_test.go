@@ -1,46 +1,16 @@
 package watch
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"netchain/internal/kv"
 )
 
-// fakeKV is an in-memory Reader with controllable versions.
-type fakeKV struct {
-	mu   sync.Mutex
-	vals map[kv.Key]kv.Value
-	vers map[kv.Key]kv.Version
-}
+// The read-driven cases below feed a Sub versioned read results the way
+// a poll-fallback loop or an anti-entropy sweep does.
 
-func newFake() *fakeKV {
-	return &fakeKV{vals: map[kv.Key]kv.Value{}, vers: map[kv.Key]kv.Version{}}
-}
-
-func (f *fakeKV) Read(k kv.Key) (kv.Value, kv.Version, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.vals[k]
-	if !ok {
-		return nil, kv.Version{}, kv.ErrNotFound
-	}
-	return v.Clone(), f.vers[k], nil
-}
-
-func (f *fakeKV) put(k kv.Key, v string, seq uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.vals[k] = kv.Value(v)
-	f.vers[k] = kv.Version{Seq: seq}
-}
-
-func (f *fakeKV) del(k kv.Key) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.vals, k)
-	delete(f.vers, k)
+func read(s *Sub, k kv.Key, val string, seq uint64) {
+	s.ApplyRead(k, true, kv.Value(val), kv.Version{Seq: seq})
 }
 
 func expectEvent(t *testing.T, ch <-chan Event, typ EventType) Event {
@@ -54,7 +24,7 @@ func expectEvent(t *testing.T, ch <-chan Event, typ EventType) Event {
 			t.Fatalf("event = %v, want %v", ev.Type, typ)
 		}
 		return ev
-	case <-time.After(2 * time.Second):
+	default:
 		t.Fatalf("no %v event", typ)
 	}
 	return Event{}
@@ -70,184 +40,101 @@ func expectNoEvent(t *testing.T, ch <-chan Event) {
 }
 
 func TestCreateUpdateDeleteLifecycle(t *testing.T) {
-	f := newFake()
-	w, err := New(f, time.Hour) // drive via Poll for determinism
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
 	k := kv.KeyFromString("cfg")
-	ch, cancel, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
+	s := NewSub([]kv.Key{k}, groupMod4, 16)
+	defer s.Close()
+	ch := s.Events()
 
-	w.Poll()
+	s.ApplyRead(k, false, nil, kv.Version{})
 	expectNoEvent(t, ch) // absent key: nothing yet
 
-	f.put(k, "v1", 1)
-	w.Poll()
+	read(s, k, "v1", 1)
 	ev := expectEvent(t, ch, Created)
 	if string(ev.Value) != "v1" || ev.Version.Seq != 1 {
 		t.Fatalf("created = %+v", ev)
 	}
 
-	w.Poll()
+	read(s, k, "v1", 1)
 	expectNoEvent(t, ch) // unchanged: deduped by version
 
-	f.put(k, "v2", 2)
-	w.Poll()
+	read(s, k, "v2", 2)
 	ev = expectEvent(t, ch, Updated)
 	if string(ev.Value) != "v2" || ev.Version.Seq != 2 {
 		t.Fatalf("updated = %+v", ev)
 	}
 
-	f.del(k)
-	w.Poll()
+	s.ApplyRead(k, false, nil, kv.Version{})
 	expectEvent(t, ch, Deleted)
 
-	f.put(k, "v3", 3)
-	w.Poll()
+	read(s, k, "v3", 3)
 	expectEvent(t, ch, Created) // reappearance
 }
 
 func TestStaleVersionsDoNotFire(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
 	k := kv.KeyFromString("k")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
+	s := NewSub([]kv.Key{k}, groupMod4, 16)
+	defer s.Close()
 
-	f.put(k, "v5", 5)
-	w.Poll()
-	expectEvent(t, ch, Created)
+	read(s, k, "v5", 5)
+	expectEvent(t, s.Events(), Created)
 
 	// A regressed version (would indicate a consistency violation) must
 	// not produce an Updated event.
-	f.put(k, "old", 3)
-	w.Poll()
-	expectNoEvent(t, ch)
+	read(s, k, "old", 3)
+	expectNoEvent(t, s.Events())
 }
 
+// Two subscriptions over one key are independent: closing one closes only
+// its own channel.
 func TestMultipleSubscribers(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
 	k := kv.KeyFromString("k")
-	ch1, cancel1, _ := w.Watch(k)
-	ch2, cancel2, _ := w.Watch(k)
-	defer cancel2()
+	s1 := NewSub([]kv.Key{k}, groupMod4, 16)
+	s2 := NewSub([]kv.Key{k}, groupMod4, 16)
+	defer s2.Close()
 
-	f.put(k, "v", 1)
-	w.Poll()
-	expectEvent(t, ch1, Created)
-	expectEvent(t, ch2, Created)
-
-	cancel1()
-	if _, ok := <-ch1; ok {
-		t.Fatal("cancelled channel must close")
+	for _, s := range []*Sub{s1, s2} {
+		read(s, k, "v", 1)
+		expectEvent(t, s.Events(), Created)
 	}
-	f.put(k, "v2", 2)
-	w.Poll()
-	expectEvent(t, ch2, Updated)
-}
 
-func TestCancelIsIdempotentAndCleansUp(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
-	k := kv.KeyFromString("k")
-	_, cancel, _ := w.Watch(k)
-	cancel()
-	cancel() // second cancel is a no-op
-	// Re-watching after full cleanup works.
-	ch, cancel2, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
+	s1.Close()
+	if _, ok := <-s1.Events(); ok {
+		t.Fatal("closed channel must close")
 	}
-	defer cancel2()
-	f.put(k, "v", 1)
-	w.Poll()
-	expectEvent(t, ch, Created)
+	read(s1, k, "v2", 2)
+	read(s2, k, "v2", 2)
+	expectEvent(t, s2.Events(), Updated)
 }
 
 func TestSlowSubscriberCoalesces(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Hour)
-	defer w.Stop()
 	k := kv.KeyFromString("k")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
+	s := NewSub([]kv.Key{k}, groupMod4, 16)
+	defer s.Close()
 
-	// Overflow the 16-slot buffer; the watcher must not block.
+	// Overflow the 16-slot buffer; reads must not block.
 	for i := uint64(1); i <= 40; i++ {
-		f.put(k, "v", i)
-		w.Poll()
+		read(s, k, "v", i)
 	}
-	drained := 0
-	for {
-		select {
-		case <-ch:
-			drained++
-			continue
-		default:
-		}
-		break
-	}
+	drained := len(drain(s.Events()))
 	if drained == 0 || drained > 16 {
 		t.Fatalf("drained %d events, want 1..16 (coalesced)", drained)
 	}
 }
 
+// Close ends delivery for every feeding path: reads and dirty marks that
+// race the close are dropped, never sent on the closed channel.
 func TestStopClosesSubscribers(t *testing.T) {
-	f := newFake()
-	w, _ := New(f, time.Millisecond)
 	k := kv.KeyFromString("k")
-	ch, _, _ := w.Watch(k)
-	w.Stop()
-	w.Stop() // idempotent
-	if _, ok := <-ch; ok {
-		t.Fatal("stop must close subscriber channels")
+	s := NewSub([]kv.Key{k}, groupMod4, 16)
+	s.TakeDirty()
+	s.Close()
+	if _, ok := <-s.Events(); ok {
+		t.Fatal("close must close the channel")
 	}
-	if _, _, err := w.Watch(k); err == nil {
-		t.Fatal("watch after stop must fail")
-	}
-}
-
-func TestBackgroundPolling(t *testing.T) {
-	f := newFake()
-	w, err := New(f, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	k := kv.KeyFromString("bg")
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
-	f.put(k, "v", 1)
-	expectEventWait(t, ch, Created)
-}
-
-func expectEventWait(t *testing.T, ch <-chan Event, typ EventType) {
-	t.Helper()
-	select {
-	case ev := <-ch:
-		if ev.Type != typ {
-			t.Fatalf("event = %v, want %v", ev.Type, typ)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("no %v event from background poller", typ)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, time.Second); err == nil {
-		t.Fatal("nil reader must be rejected")
-	}
-	if _, err := New(newFake(), 0); err == nil {
-		t.Fatal("zero interval must be rejected")
+	read(s, k, "v", 1)
+	s.MarkDirty()
+	if dirty := s.TakeDirty(); len(dirty) != 0 {
+		t.Fatalf("closed sub marked %v dirty", dirty)
 	}
 }
 

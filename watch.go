@@ -2,7 +2,6 @@ package netchain
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"netchain/internal/kv"
 	"netchain/internal/packet"
 	"netchain/internal/query"
-	"netchain/internal/relay"
 	"netchain/internal/simclient"
 	"netchain/internal/watch"
 )
@@ -26,159 +24,23 @@ const (
 	WatchDeleted = watch.Deleted
 )
 
-// WatchOption tunes a Watch call.
-type WatchOption func(*watchOpts)
+// WatchOption tunes a Watch call on either substrate.
+type WatchOption = watch.Option
 
-type watchOpts struct {
-	buffer       int
-	resync       time.Duration // dirty-key read retry / gap-resync cadence
-	antiEntropy  time.Duration // full re-read sweep period; 0 disables
-	pollInterval time.Duration // poll fallback cadence; 0 disables fallback
-}
+// WithWatchBuffer sizes the event channel; see watch.WithBuffer.
+func WithWatchBuffer(n int) WatchOption { return watch.WithBuffer(n) }
 
-func buildWatchOpts(opts []WatchOption) watchOpts {
-	o := watchOpts{
-		buffer:      64,
-		resync:      200 * time.Millisecond,
-		antiEntropy: 10 * time.Second,
-	}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o
-}
+// WithResyncInterval sets the dirty-key re-read cadence; see
+// watch.WithResyncInterval.
+func WithResyncInterval(d time.Duration) WatchOption { return watch.WithResyncInterval(d) }
 
-// WithWatchBuffer sizes the event channel. Slow consumers coalesce: when
-// the buffer is full the event is dropped, the key is marked dirty, and a
-// later resync delivers the newest state instead — subscribers may miss
-// intermediate values, never the final one.
-func WithWatchBuffer(n int) WatchOption { return func(o *watchOpts) { o.buffer = n } }
-
-// WithResyncInterval sets the cadence at which keys marked dirty (stream
-// gaps, failed reads, overflow drops) are re-read. When nothing is dirty
-// a tick issues no reads at all — the steady state of a push watch.
-func WithResyncInterval(d time.Duration) WatchOption {
-	return func(o *watchOpts) { o.resync = d }
-}
-
-// WithAntiEntropy sets the period of the full re-read sweep that catches
-// a lost *final* event (which no later stream sequence can expose).
-// 0 disables the sweep.
-func WithAntiEntropy(d time.Duration) WatchOption {
-	return func(o *watchOpts) { o.antiEntropy = d }
-}
+// WithAntiEntropy sets the full re-read sweep period (0 disables it); see
+// watch.WithAntiEntropy.
+func WithAntiEntropy(d time.Duration) WatchOption { return watch.WithAntiEntropy(d) }
 
 // WithPollFallback lets Watch degrade to version-polling every d when the
-// cluster has no reachable relay tier, instead of failing. Without this
-// option Watch returns an error in that case.
-func WithPollFallback(d time.Duration) WatchOption {
-	return func(o *watchOpts) { o.pollInterval = d }
-}
-
-// Watch subscribes to server-push notifications for keys. Events arrive
-// on the returned channel until ctx is cancelled (the channel then
-// closes). Delivery semantics:
-//
-//   - every watched key that exists produces an initial Created event
-//     (the state fetch), then one event per observed change;
-//   - events are version-ordered per key; duplicates and reordered frames
-//     are suppressed, so the stream never moves backwards;
-//   - relay stream-sequence gaps trigger linearizable re-reads of the
-//     affected keys, and a periodic anti-entropy sweep bounds the
-//     staleness window of a lost final event — the stream converges to
-//     the store's state under loss, duplication and reordering.
-//
-// The push path costs zero reads while the stream is healthy; compare
-// the deprecated NewWatcher, which polls every key forever.
-func (cl *Client) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<-chan WatchEvent, error) {
-	o := buildWatchOpts(opts)
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("netchain: Watch needs at least one key")
-	}
-	ctl := cl.cluster.ctl
-	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
-	sig := make(chan struct{}, 1)
-	deliver := func(ev query.Event) {
-		if sub.ApplyEvent(ev) {
-			select {
-			case sig <- struct{}{}:
-			default:
-			}
-		}
-	}
-	var conn *relay.Conn
-	cl.cluster.mu.RLock()
-	rs := cl.cluster.relaySrv
-	cl.cluster.mu.RUnlock()
-	if rs != nil {
-		var subOpts []relay.SubOption
-		if ttl := cl.cluster.cfg.RelayLeaseTTL; ttl > 0 {
-			subOpts = append(subOpts, relay.WithRenewEvery(ttl/3))
-		}
-		if inj := cl.cluster.cfg.Faults; inj != nil {
-			claddr, _ := cl.client.Endpoint()
-			subOpts = append(subOpts, relay.WithSubFaults(inj.Pipe(claddr)))
-		}
-		c, err := relay.Subscribe(rs.Mode(), rs.ControlEndpoint(), sub.Groups(), deliver, subOpts...)
-		if err != nil && o.pollInterval == 0 {
-			sub.Close()
-			return nil, err
-		}
-		conn = c
-	} else if o.pollInterval == 0 {
-		return nil, fmt.Errorf("netchain: cluster has no relay tier (use WithPollFallback to watch anyway)")
-	}
-	resync, antiEntropy := o.resync, o.antiEntropy
-	if conn == nil {
-		// Poll fallback: no event stream, so every interval is a full sweep.
-		resync, antiEntropy = o.pollInterval, o.pollInterval
-	}
-	go cl.watchLoop(ctx, sub, conn, sig, resync, antiEntropy)
-	return sub.Events(), nil
-}
-
-func (cl *Client) watchLoop(ctx context.Context, sub *watch.Sub, conn *relay.Conn,
-	sig <-chan struct{}, resync, antiEntropy time.Duration) {
-	defer sub.Close()
-	if conn != nil {
-		defer conn.Close()
-	}
-	readDirty := func() {
-		for _, k := range sub.TakeDirty() {
-			v, ver, err := cl.ops.Read(k)
-			switch {
-			case err == nil:
-				sub.ApplyRead(k, true, v, ver)
-			case errors.Is(err, ErrNotFound):
-				sub.ApplyRead(k, false, nil, ver)
-			default:
-				sub.MarkDirty(k) // transient failure: retry next tick
-			}
-		}
-	}
-	readDirty() // initial state fetch (all keys start dirty)
-	tick := time.NewTicker(resync)
-	defer tick.Stop()
-	var sweep <-chan time.Time
-	if antiEntropy > 0 {
-		t := time.NewTicker(antiEntropy)
-		defer t.Stop()
-		sweep = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-sig:
-			readDirty()
-		case <-tick.C:
-			readDirty()
-		case <-sweep:
-			sub.MarkDirty()
-			readDirty()
-		}
-	}
-}
+// cluster has no reachable relay tier; see watch.WithPollFallback.
+func WithPollFallback(d time.Duration) WatchOption { return watch.WithPollFallback(d) }
 
 // WatchStats reports a sim watch stream's engine counters (tests and
 // experiments; the real API exposes them per-cluster via relay stats).
@@ -191,7 +53,7 @@ type WatchStats = watch.SubStats
 // Cancelling ctx tears the stream down at the next delivery or timer
 // firing (give the simulator a tick of time to observe it).
 func (sc *SimClient) Watch(ctx context.Context, keys []Key, opts ...WatchOption) (<-chan WatchEvent, error) {
-	o := buildWatchOpts(opts)
+	o := watch.BuildOptions(opts)
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("netchain: Watch needs at least one key")
 	}
@@ -200,7 +62,7 @@ func (sc *SimClient) Watch(ctx context.Context, keys []Key, opts ...WatchOption)
 		return nil, err
 	}
 	ctl := sc.s.d.Ctl
-	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.buffer)
+	sub := watch.NewSub(keys, func(k kv.Key) uint16 { return ctl.Route(k).Group }, o.Buffer)
 	w := &simWatch{sc: sc, sr: sr, sub: sub, ctx: ctx}
 	w.port, w.release = sc.mux.Sink(w.recv)
 	for _, g := range sub.Groups() {
@@ -211,11 +73,11 @@ func (sc *SimClient) Watch(ctx context.Context, keys []Key, opts ...WatchOption)
 		w.groups = append(w.groups, g)
 	}
 	w.readDirty() // initial state fetch resolves during stepping
-	if o.resync > 0 {
-		w.armTimer(event.Duration(o.resync), w.readDirty)
+	if o.Resync > 0 {
+		w.armTimer(event.Duration(o.Resync), w.readDirty)
 	}
-	if o.antiEntropy > 0 {
-		w.armTimer(event.Duration(o.antiEntropy), func() {
+	if o.AntiEntropy > 0 {
+		w.armTimer(event.Duration(o.AntiEntropy), func() {
 			w.sub.MarkDirty()
 			w.readDirty()
 		})
@@ -302,20 +164,4 @@ func (w *simWatch) armTimer(iv event.Time, fn func()) {
 		fn()
 		w.armTimer(iv, fn)
 	})
-}
-
-// Watcher polls keys and notifies subscribers of version changes.
-//
-// Deprecated: Watcher predates the push-watch relay tier and re-reads
-// every key each interval forever. Use Client.Watch, which costs zero
-// reads while the event stream is healthy. Watcher remains as a thin
-// compatibility shim over the same delivery engine.
-type Watcher = watch.Watcher
-
-// NewWatcher starts a watcher polling through this client at the given
-// interval. Stop it when done.
-//
-// Deprecated: use Client.Watch.
-func (cl *Client) NewWatcher(interval time.Duration) (*Watcher, error) {
-	return watch.New(cl.ops, interval)
 }

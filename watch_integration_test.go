@@ -130,48 +130,10 @@ func TestPushWatchSurvivesFailover(t *testing.T) {
 	}
 }
 
-// TestPushWatchPollFallback: with no relay tier reachable, WithPollFallback
-// degrades the same API to version polling instead of failing.
-func TestPushWatchPollFallback(t *testing.T) {
-	cl, err := StartLocalCluster(ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	writer, _ := cl.NewClient(0)
-	defer writer.Close()
-
-	k := KeyFromString("push/poll")
-	cl.Insert(k)
-
-	// Simulate a missing relay tier.
-	saved := cl.relaySrv
-	cl.relaySrv = nil
-	defer func() { cl.relaySrv = saved }()
-
-	if _, err := writer.Watch(context.Background(), []Key{k}); err == nil {
-		t.Fatal("Watch without relay and without fallback should fail")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ch, err := writer.Watch(ctx, []Key{k}, WithPollFallback(2*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := writer.Write(k, Value("v1")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-ch:
-		if string(ev.Value) != "v1" {
-			t.Fatalf("event = %+v", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("poll fallback never delivered")
-	}
-}
-
+// TestWatcherOnRealCluster: the old polling Watcher's lifecycle test,
+// carried onto Watch. Its 2 ms poll cadence becomes a 2 ms anti-entropy
+// sweep, so every event may arrive by push or by re-read; the
+// assertions hold either way.
 func TestWatcherOnRealCluster(t *testing.T) {
 	cl, err := StartLocalCluster(ClusterConfig{})
 	if err != nil {
@@ -188,18 +150,14 @@ func TestWatcherOnRealCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := observer.NewWatcher(2 * time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
-	ch, cancel, err := w.Watch(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ch, err := observer.Watch(ctx, []Key{k}, WithAntiEntropy(2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	expect := func(typ WatchEvent, want string) WatchEvent {
+	expect := func(want string) WatchEvent {
 		t.Helper()
 		select {
 		case ev := <-ch:
@@ -213,7 +171,7 @@ func TestWatcherOnRealCluster(t *testing.T) {
 	if _, err := writer.Write(k, Value("v1")); err != nil {
 		t.Fatal(err)
 	}
-	ev := expect(WatchEvent{}, "created")
+	ev := expect("created")
 	if ev.Type != WatchCreated || string(ev.Value) != "v1" {
 		t.Fatalf("event = %+v", ev)
 	}
@@ -221,7 +179,7 @@ func TestWatcherOnRealCluster(t *testing.T) {
 	if _, err := writer.Write(k, Value("v2")); err != nil {
 		t.Fatal(err)
 	}
-	ev = expect(WatchEvent{}, "updated")
+	ev = expect("updated")
 	if ev.Type != WatchUpdated || string(ev.Value) != "v2" || ev.Version.Seq != 2 {
 		t.Fatalf("event = %+v", ev)
 	}
@@ -229,14 +187,15 @@ func TestWatcherOnRealCluster(t *testing.T) {
 	if err := writer.Delete(k); err != nil {
 		t.Fatal(err)
 	}
-	ev = expect(WatchEvent{}, "deleted")
+	ev = expect("deleted")
 	if ev.Type != WatchDeleted {
 		t.Fatalf("event = %+v", ev)
 	}
 }
 
 // TestWatcherSurvivesFailover: a watch keeps delivering through a switch
-// failure — the coordination-service behaviour applications rely on.
+// failure — the coordination-service behaviour applications rely on —
+// with the old Watcher's 2 ms polling carried over as anti-entropy.
 func TestWatcherSurvivesFailover(t *testing.T) {
 	cl, err := StartLocalCluster(ClusterConfig{})
 	if err != nil {
@@ -252,13 +211,12 @@ func TestWatcherSurvivesFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w, err := writer.NewWatcher(2 * time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ch, err := writer.Watch(ctx, []Key{k}, WithAntiEntropy(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Stop()
-	ch, cancel, _ := w.Watch(k)
-	defer cancel()
 
 	// Drain the initial Created event.
 	select {
